@@ -46,40 +46,75 @@ std::string ExecOptionsKey(const core::ExecutorOptions& options) {
   return os.str();
 }
 
+// Per-device metric labels ({device=devN}, by group device index).
+obs::Labels DeviceLabels(int device) {
+  return {{"device", "dev" + std::to_string(device)}};
+}
+
+// What a DeviceHealth gate records: aggregate and per-device counters for
+// its transitions and probes, and the trace annotations of its transitions.
+struct GateRecord {
+  const char* name;
+  const char* opened;
+  const char* closed;
+  const char* probes;
+  const char* device_opened;
+  const char* device_closed;
+  const char* device_probes;
+  obs::SpanAnnotationKind open_kind;
+  obs::SpanAnnotationKind close_kind;
+};
+
+// Indexed by QueryScheduler::Gate (kFaults, kCorruption).
+constexpr GateRecord kGateRecords[] = {
+    {"circuit breaker", "resilience.breaker_opened", "resilience.breaker_closed",
+     "resilience.breaker_probes", "server.device.breaker_opened",
+     "server.device.breaker_closed", "server.device.breaker_probes",
+     obs::SpanAnnotationKind::kBreakerOpen, obs::SpanAnnotationKind::kBreakerClose},
+    {"quarantine", "integrity.quarantine_opened", "integrity.quarantine_closed",
+     "integrity.quarantine_probes", "server.device.quarantined",
+     "server.device.unquarantined", "server.device.quarantine_probes",
+     obs::SpanAnnotationKind::kQuarantine, obs::SpanAnnotationKind::kUnquarantine},
+};
+
 }  // namespace
 
 QueryScheduler::QueryScheduler(const sim::DeviceSimulator& device,
                                SchedulerOptions options)
-    : device_(device),
+    : QueryScheduler(std::make_unique<const sim::DeviceGroup>(device), nullptr,
+                     std::move(options)) {}
+
+QueryScheduler::QueryScheduler(const sim::DeviceGroup& group,
+                               SchedulerOptions options)
+    : QueryScheduler(nullptr, &group, std::move(options)) {}
+
+QueryScheduler::QueryScheduler(std::unique_ptr<const sim::DeviceGroup> owned_group,
+                               const sim::DeviceGroup* group, SchedulerOptions options)
+    : owned_group_(std::move(owned_group)),
+      group_(group != nullptr ? *group : *owned_group_),
       options_(std::move(options)),
-      executor_(device_, options_.cost_model, options_.execution_pool),
+      executor_(group_, options_.cost_model, options_.execution_pool),
       plan_cache_(options_.plan_cache_capacity, options_.metrics),
       started_(!options_.start_paused) {
   if (options_.worker_count == 0) options_.worker_count = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.max_queue_depth == 0) options_.max_queue_depth = 1;
-  if (options_.device_group != nullptr) {
-    group_executor_ = std::make_unique<core::MultiDeviceExecutor>(
-        *options_.device_group, options_.cost_model, options_.execution_pool);
-    device_states_.resize(
-        static_cast<std::size_t>(options_.device_group->device_count()));
+  // Quarantine drains a corrupter to its siblings; with none it could only
+  // reroute to the host, so a single device is never quarantined.
+  const std::size_t quarantine_threshold =
+      group_.device_count() >= 2 ? options_.quarantine_threshold : 0;
+  const DeviceHealth faults(options_.breaker_threshold, options_.probe_interval,
+                            DeviceHealth::Relief::kReset);
+  const DeviceHealth corruption(quarantine_threshold, options_.probe_interval,
+                                DeviceHealth::Relief::kHalve);
+  for (int d = 0; d < group_.device_count(); ++d) {
+    device_states_.push_back({0.0, faults, corruption});
   }
   workers_.reserve(options_.worker_count);
   for (std::size_t i = 0; i < options_.worker_count; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
-
-namespace {
-SchedulerOptions WithGroup(SchedulerOptions options, const sim::DeviceGroup* group) {
-  options.device_group = group;
-  return options;
-}
-}  // namespace
-
-QueryScheduler::QueryScheduler(const sim::DeviceGroup& group,
-                               SchedulerOptions options)
-    : QueryScheduler(group.device(0), WithGroup(std::move(options), &group)) {}
 
 QueryScheduler::~QueryScheduler() { Shutdown(); }
 
@@ -193,153 +228,120 @@ std::size_t QueryScheduler::queue_depth() const {
   return queue_.size();
 }
 
-bool QueryScheduler::breaker_open() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return breaker_open_;
-}
-
 bool QueryScheduler::breaker_open(int device) const {
   std::lock_guard<std::mutex> lock(mutex_);
   if (device < 0 || device >= static_cast<int>(device_states_.size())) return false;
-  return device_states_[static_cast<std::size_t>(device)].breaker_open;
+  return device_states_[static_cast<std::size_t>(device)].faults.open();
 }
 
 bool QueryScheduler::quarantined(int device) const {
   std::lock_guard<std::mutex> lock(mutex_);
   if (device < 0 || device >= static_cast<int>(device_states_.size())) return false;
-  return device_states_[static_cast<std::size_t>(device)].quarantined;
+  return device_states_[static_cast<std::size_t>(device)].corruption.open();
 }
 
 std::size_t QueryScheduler::corruption_score(int device) const {
   std::lock_guard<std::mutex> lock(mutex_);
   if (device < 0 || device >= static_cast<int>(device_states_.size())) return 0;
-  return device_states_[static_cast<std::size_t>(device)].corruption_score;
+  return device_states_[static_cast<std::size_t>(device)].corruption.score();
 }
 
-bool QueryScheduler::RecordDeviceFault() {
-  bool opened = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++consecutive_faults_;
-    if (!breaker_open_ && options_.breaker_threshold > 0 &&
-        consecutive_faults_ >= options_.breaker_threshold) {
-      breaker_open_ = true;
-      breaker_batches_ = 0;
-      opened = true;
-    }
-  }
-  if (opened) metrics().GetCounter("resilience.breaker_opened").Increment();
-  return opened;
+QueryScheduler::DeviceHealth::Admission QueryScheduler::DeviceHealth::Admit() {
+  if (!open_) return Admission::kHealthy;
+  ++passes_;
+  const bool probe = probe_interval_ > 0 && passes_ % probe_interval_ == 0;
+  return probe ? Admission::kProbe : Admission::kDrain;
 }
 
-bool QueryScheduler::RecordDeviceSuccess() {
-  bool closed = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    consecutive_faults_ = 0;
-    if (breaker_open_) {
-      breaker_open_ = false;
-      closed = true;
-    }
-  }
-  if (closed) metrics().GetCounter("resilience.breaker_closed").Increment();
-  return closed;
+bool QueryScheduler::DeviceHealth::RecordBad() {
+  ++score_;
+  if (open_ || threshold_ == 0 || score_ < threshold_) return false;
+  open_ = true;
+  passes_ = 0;
+  return true;
 }
 
-bool QueryScheduler::RecordDeviceFault(int device) {
-  bool opened = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    DeviceState& state = device_states_.at(static_cast<std::size_t>(device));
-    ++state.consecutive_faults;
-    if (!state.breaker_open && options_.breaker_threshold > 0 &&
-        state.consecutive_faults >= options_.breaker_threshold) {
-      state.breaker_open = true;
-      state.breaker_batches = 0;
-      opened = true;
-    }
-  }
-  if (opened) {
-    const std::string& label =
-        options_.device_group->device(device).instance_label();
-    metrics().GetCounter("resilience.breaker_opened").Increment();
-    metrics().GetCounter("server.device.breaker_opened", {{"device", label}})
-        .Increment();
-  }
-  return opened;
+bool QueryScheduler::DeviceHealth::RecordClean() {
+  score_ = relief_ == Relief::kHalve ? score_ / 2 : 0;
+  if (!open_) return false;
+  // A clean batch while open is a probe (nothing else lands here): the
+  // device is healthy again.
+  open_ = false;
+  score_ = 0;
+  return true;
 }
 
-bool QueryScheduler::RecordDeviceSuccess(int device) {
-  bool closed = false;
+bool QueryScheduler::RecordHealth(Gate gate, int device, bool bad) {
+  bool flipped = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    DeviceState& state = device_states_.at(static_cast<std::size_t>(device));
-    state.consecutive_faults = 0;
-    if (state.breaker_open) {
-      state.breaker_open = false;
-      closed = true;
-    }
+    DeviceHealth& health =
+        device_states_.at(static_cast<std::size_t>(device)).health(gate);
+    flipped = bad ? health.RecordBad() : health.RecordClean();
   }
-  if (closed) {
-    const std::string& label =
-        options_.device_group->device(device).instance_label();
-    metrics().GetCounter("resilience.breaker_closed").Increment();
-    metrics().GetCounter("server.device.breaker_closed", {{"device", label}})
-        .Increment();
+  if (flipped) {
+    const GateRecord& record = kGateRecords[static_cast<std::size_t>(gate)];
+    const char* aggregate = bad ? record.opened : record.closed;
+    const char* per_device = bad ? record.device_opened : record.device_closed;
+    metrics().GetCounter(aggregate).Increment();
+    metrics().GetCounter(per_device, DeviceLabels(device)).Increment();
   }
-  return closed;
+  return flipped;
 }
 
-bool QueryScheduler::RecordDeviceCorruption(int device, std::size_t detected) {
-  bool opened = false;
+QueryScheduler::Placement QueryScheduler::Place(const std::vector<JobPtr>& batch,
+                                                bool shard) {
+  // The predicted start on the virtual clocks: no earlier than any member's
+  // submit nor any placed device's busy-until time. Exact with one worker;
+  // an estimate when workers race.
+  Placement placement;
+  for (const JobPtr& job : batch) {
+    placement.start = std::max(placement.start, job->sim_submit);
+  }
+  std::vector<std::pair<Gate, int>> probes;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    DeviceState& state = device_states_.at(static_cast<std::size_t>(device));
-    ++state.corruption_score;
-    if (!state.quarantined && options_.quarantine_threshold > 0 &&
-        state.corruption_score >= options_.quarantine_threshold) {
-      state.quarantined = true;
-      state.quarantine_batches = 0;
-      opened = true;
+    auto busy = [&](int d) { return device_states_[static_cast<std::size_t>(d)].clock; };
+    std::vector<int> admitted;
+    int least_loaded = 0;
+    for (int d = 0; d < static_cast<int>(device_states_.size()); ++d) {
+      if (busy(d) < busy(least_loaded)) least_loaded = d;
+      // Both gates' probe cadences advance on every pass, also while the
+      // other gate keeps the device drained.
+      bool usable = true;
+      for (Gate gate : {Gate::kFaults, Gate::kCorruption}) {
+        const DeviceHealth::Admission admission =
+            device_states_[static_cast<std::size_t>(d)].health(gate).Admit();
+        if (admission == DeviceHealth::Admission::kProbe) probes.emplace_back(gate, d);
+        usable = usable && admission != DeviceHealth::Admission::kDrain;
+      }
+      if (usable) admitted.push_back(d);
+    }
+    if (admitted.empty()) {
+      placement.host_route = true;
+      placement.devices.push_back(least_loaded);
+    } else if (shard && admitted.size() > 1) {
+      placement.devices = std::move(admitted);
+    } else {
+      int best = admitted.front();
+      for (int d : admitted) {
+        if (busy(d) < busy(best)) best = d;
+      }
+      placement.devices.push_back(best);
+    }
+    for (int d : placement.devices) {
+      placement.start = std::max(placement.start, busy(d));
     }
   }
-  const std::string& label =
-      options_.device_group->device(device).instance_label();
-  metrics().GetCounter("server.device.corrupt_batches", {{"device", label}})
-      .Increment();
-  metrics()
-      .GetCounter("integrity.corruption_detected", {{"device", label}})
-      .Increment(detected);
-  if (opened) {
-    metrics().GetCounter("integrity.quarantine_opened").Increment();
-    metrics().GetCounter("server.device.quarantined", {{"device", label}})
-        .Increment();
+  for (const auto& [gate, d] : probes) {
+    const GateRecord& record = kGateRecords[static_cast<std::size_t>(gate)];
+    metrics().GetCounter(record.probes).Increment();
+    metrics().GetCounter(record.device_probes, DeviceLabels(d)).Increment();
   }
-  return opened;
-}
-
-bool QueryScheduler::RecordDeviceClean(int device) {
-  bool closed = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    DeviceState& state = device_states_.at(static_cast<std::size_t>(device));
-    state.corruption_score /= 2;
-    if (state.quarantined) {
-      // A clean batch while quarantined is necessarily a probe (nothing else
-      // lands here) — the device is delivering honest bytes again.
-      state.quarantined = false;
-      state.corruption_score = 0;
-      closed = true;
-    }
+  if (placement.host_route) {
+    metrics().GetCounter("resilience.breaker_rerouted").Increment();
   }
-  if (closed) {
-    const std::string& label =
-        options_.device_group->device(device).instance_label();
-    metrics().GetCounter("integrity.quarantine_closed").Increment();
-    metrics().GetCounter("server.device.unquarantined", {{"device", label}})
-        .Increment();
-  }
-  return closed;
+  return placement;
 }
 
 bool QueryScheduler::Compatible(const QueryRequest& leader,
@@ -420,12 +422,9 @@ void QueryScheduler::WorkerLoop() {
       // in-flight work retires (an oversized batch runs when nothing else
       // is executing, so progress is guaranteed).
       batch_bytes = EstimateBytes(batch);
-      std::uint64_t capacity = device_.spec().mem_capacity_bytes;
-      if (options_.device_group != nullptr) {
-        capacity = 0;  // group mode: batches share the fleet's memory
-        for (int d = 0; d < options_.device_group->device_count(); ++d) {
-          capacity += options_.device_group->device(d).spec().mem_capacity_bytes;
-        }
+      std::uint64_t capacity = 0;  // batches share the fleet's memory
+      for (int d = 0; d < group_.device_count(); ++d) {
+        capacity += group_.device(d).spec().mem_capacity_bytes;
       }
       const auto allowance = static_cast<std::uint64_t>(
           static_cast<double>(capacity) * options_.admission_memory_fraction);
@@ -551,39 +550,26 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch,
         plan_version);
     options.plan = &plan;
 
-    const bool group_mode = group_executor_ != nullptr;
-
-    // Circuit breaker (single-device mode): while open, batches run
-    // host-side except for the periodic probe that tests whether the device
-    // recovered. Group mode does per-device breakers inside the placement
-    // step below instead.
-    bool probing = false;
-    if (!group_mode) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (breaker_open_) {
-        ++breaker_batches_;
-        if (options_.breaker_probe_interval > 0 &&
-            breaker_batches_ % options_.breaker_probe_interval == 0) {
-          probing = true;
-        } else {
-          options.force_host = true;
-        }
-      }
-    }
-    if (options.force_host && !batch.front()->request.options.force_host) {
-      metrics().GetCounter("resilience.breaker_rerouted").Increment();
-    }
-    if (probing) metrics().GetCounter("resilience.breaker_probes").Increment();
+    // Health transitions this batch triggers annotate the leading query's
+    // root span.
+    auto feed = [&](Gate gate, int device, bool bad) {
+      if (!RecordHealth(gate, device, bad) || !sched_trace) return;
+      const GateRecord& record = kGateRecords[static_cast<std::size_t>(gate)];
+      const std::string note = std::string(record.name) + (bad ? " opened" : " closed");
+      const auto kind = bad ? record.open_kind : record.close_kind;
+      tracer->Annotate(leader.trace, leader.root_span, kind,
+                       note + " on device " + std::to_string(device), attempt_start);
+    };
 
     // Whole-query retry: a device fault thrown before the executor could
     // recover internally (e.g. an injected reservation failure) re-runs the
-    // batch up to query_retry_limit times. In group mode placement runs
-    // inside the loop, so a retried batch can land on a different (healthy)
-    // device than the one that faulted.
-    core::ExecutionReport report;
+    // batch up to query_retry_limit times. Placement runs inside the loop,
+    // so a retried batch can land on a different (healthy) device than the
+    // one that faulted.
+    const bool shard = leader.request.allow_sharding &&
+                       core::MultiDeviceExecutor::Shardable(*exec_graph);
     core::MultiDeviceReport group_report;
-    std::vector<int> placement;
-    bool host_route = false;
+    Placement placement;
     std::size_t device_retries = 0;
     for (;;) {
       attempt_start = pickup_sim;
@@ -607,134 +593,30 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch,
         }
       }
       try {
-        if (!group_mode) {
-          if (sched_trace) {
-            options.tracer = tracer;
-            options.trace = leader.trace;
-            options.trace.sim_offset = attempt_start;
-            options.trace_parent = attempt_span;
-          }
-          report = executor_.Execute(*exec_graph, *exec_sources, options);
-          break;
-        }
-
-        // Placement: healthy devices (breaker closed, not quarantined) plus
-        // any unhealthy device whose probe is due; least-loaded device for
-        // whole queries, every available device for sharding opt-ins. No
-        // device available routes the batch host-side (accounted on the
-        // least-loaded device).
-        placement.clear();
-        host_route = false;
-        std::vector<int> probes;
-        std::vector<int> quarantine_probes;
-        // Predicted batch start on the group's virtual clocks: no earlier
-        // than any member's submit nor any placed device's busy-until time.
-        // Exact with one worker; an estimate when workers race.
-        double group_start = 0.0;
-        for (const JobPtr& job : batch) {
-          group_start = std::max(group_start, job->sim_submit);
-        }
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          std::vector<int> available;
-          int least_loaded_any = 0;
-          for (int d = 0; d < static_cast<int>(device_states_.size()); ++d) {
-            DeviceState& state = device_states_[static_cast<std::size_t>(d)];
-            if (state.clock <
-                device_states_[static_cast<std::size_t>(least_loaded_any)].clock) {
-              least_loaded_any = d;
-            }
-            bool usable = true;
-            if (state.breaker_open) {
-              usable = false;
-              ++state.breaker_batches;
-              if (options_.breaker_probe_interval > 0 &&
-                  state.breaker_batches % options_.breaker_probe_interval == 0) {
-                usable = true;  // probe: one batch tries the device
-                probes.push_back(d);
-              }
-            }
-            if (state.quarantined) {
-              // A persistent corrupter drains to its siblings; every
-              // `quarantine_probe_interval`-th batch sends it one probe whose
-              // verified result decides re-admission.
-              bool probe_due = false;
-              ++state.quarantine_batches;
-              if (options_.quarantine_probe_interval > 0 &&
-                  state.quarantine_batches %
-                          options_.quarantine_probe_interval == 0) {
-                probe_due = true;
-                quarantine_probes.push_back(d);
-              }
-              usable = usable && probe_due;
-            }
-            if (usable) available.push_back(d);
-          }
-          if (available.empty()) {
-            host_route = true;
-            placement.push_back(least_loaded_any);
-          } else if (batch.front()->request.allow_sharding &&
-                     available.size() > 1 &&
-                     core::MultiDeviceExecutor::Shardable(*exec_graph)) {
-            placement = available;
-          } else {
-            int best = available.front();
-            for (int d : available) {
-              if (device_states_[static_cast<std::size_t>(d)].clock <
-                  device_states_[static_cast<std::size_t>(best)].clock) {
-                best = d;
-              }
-            }
-            placement.push_back(best);
-          }
-          for (int d : placement) {
-            group_start = std::max(
-                group_start, device_states_[static_cast<std::size_t>(d)].clock);
-          }
-        }
-        for (int d : probes) {
-          metrics()
-              .GetCounter(
-                  "server.device.breaker_probes",
-                  {{"device", options_.device_group->device(d).instance_label()}})
-              .Increment();
-        }
-        for (int d : quarantine_probes) {
-          metrics()
-              .GetCounter(
-                  "server.device.quarantine_probes",
-                  {{"device", options_.device_group->device(d).instance_label()}})
-              .Increment();
-        }
-        if (host_route) {
-          metrics().GetCounter("resilience.breaker_rerouted").Increment();
-        }
-
+        placement = Place(batch, shard);
         if (sched_trace) {
-          attempt_start = group_start;
+          attempt_start = placement.start;
           std::ostringstream os;
-          os << (host_route ? "host route, accounted on device"
-                            : "placed on device");
-          for (int d : placement) os << ' ' << d;
+          os << (placement.host_route ? "host route, accounted on device"
+                                      : "placed on device");
+          for (int d : placement.devices) os << ' ' << d;
           tracer->Annotate(leader.trace, attempt_span,
                            obs::SpanAnnotationKind::kPlacement, os.str(),
-                           group_start);
+                           attempt_start);
           options.tracer = tracer;
           options.trace = leader.trace;
-          options.trace.sim_offset = group_start;
+          options.trace.sim_offset = attempt_start;
           options.trace_parent = attempt_span;
         }
 
         core::MultiDeviceOptions group_options;
         group_options.base = options;
-        group_options.base.force_host = options.force_host || host_route;
+        group_options.base.force_host = options.force_host || placement.host_route;
         group_options.split = options_.shard_split;
         group_options.per_device_injectors = options_.device_injectors;
         group_options.per_device_calibrations = options_.device_calibrations;
-        group_options.devices = placement;
-        group_report =
-            group_executor_->Execute(*exec_graph, *exec_sources, group_options);
-        report = group_report.combined;
+        group_options.devices = placement.devices;
+        group_report = executor_.Execute(*exec_graph, *exec_sources, group_options);
         break;
       } catch (const ::kf::Error& e) {
         if (e.code() != ::kf::ErrorCode::kDeviceFault) throw;
@@ -745,17 +627,7 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch,
           tracer->EndSpan(leader.trace, attempt_span, attempt_start);
           attempt_span = 0;
         }
-        bool opened = false;
-        if (!group_mode) {
-          opened = RecordDeviceFault();
-        } else {
-          for (int d : placement) opened = RecordDeviceFault(d) || opened;
-        }
-        if (sched_trace && opened) {
-          tracer->Annotate(leader.trace, leader.root_span,
-                           obs::SpanAnnotationKind::kBreakerOpen,
-                           "circuit breaker opened", attempt_start);
-        }
+        for (int d : placement.devices) feed(Gate::kFaults, d, /*bad=*/true);
         if (device_retries >= options_.query_retry_limit) throw;
         ++device_retries;
         metrics().GetCounter("resilience.query_retries").Increment();
@@ -769,95 +641,51 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch,
         }
       }
     }
-    // Trace annotations for breaker/quarantine transitions triggered by this
-    // batch land on the leading query's root span.
-    auto annotate_root = [&](obs::SpanAnnotationKind kind,
-                             const std::string& detail) {
-      if (sched_trace) {
-        tracer->Annotate(leader.trace, leader.root_span, kind, detail,
-                         attempt_start);
-      }
-    };
-    if (!group_mode) {
-      if (!options.force_host) {
-        // A degraded run means the device kept failing (the executor gave up
-        // and reran clusters on the host) — that feeds the breaker; a clean
-        // or internally-recovered run closes it.
-        if (report.degraded) {
-          if (RecordDeviceFault()) {
-            annotate_root(obs::SpanAnnotationKind::kBreakerOpen,
-                          "circuit breaker opened");
-          }
-        } else if (RecordDeviceSuccess()) {
-          annotate_root(obs::SpanAnnotationKind::kBreakerClose,
-                        "circuit breaker closed");
+    core::ExecutionReport report = std::move(group_report.combined);
+
+    if (!placement.host_route && !options.force_host &&
+        !group_report.host_fallback) {
+      // Per-shard health feed: a degraded shard (the executor gave up and
+      // reran clusters on the host) is a fault on its device, a clean one
+      // closes its breaker; a shard whose checks caught wrong bytes raises
+      // its device's corruption score, a clean one decays it.
+      for (const core::ShardReport& shard_run : group_report.shards) {
+        const std::size_t detected = shard_run.report.corruption_detected;
+        if (detected > 0) {
+          const obs::Labels labels = DeviceLabels(shard_run.device);
+          metrics().GetCounter("server.device.corrupt_batches", labels).Increment();
+          metrics()
+              .GetCounter("integrity.corruption_detected", labels)
+              .Increment(detected);
         }
-      }
-    } else if (!host_route && !options.force_host &&
-               !group_report.host_fallback) {
-      // Per-shard breaker feed: only the device whose shard degraded takes
-      // the fault; its siblings' clean shards close their breakers. The same
-      // shard reports feed the corruption scores: a shard whose verification
-      // caught wrong bytes marks its device as a corrupter, a clean shard
-      // decays the score (and re-admits a quarantined device it probed).
-      for (const core::ShardReport& shard : group_report.shards) {
-        if (shard.report.ran_on_host) continue;
-        const std::string dev = std::to_string(shard.device);
-        if (shard.report.degraded) {
-          if (RecordDeviceFault(shard.device)) {
-            annotate_root(obs::SpanAnnotationKind::kBreakerOpen,
-                          "circuit breaker opened on device " + dev);
-          }
-        } else if (RecordDeviceSuccess(shard.device)) {
-          annotate_root(obs::SpanAnnotationKind::kBreakerClose,
-                        "circuit breaker closed on device " + dev);
-        }
-        if (shard.report.corruption_detected > 0) {
-          if (RecordDeviceCorruption(shard.device,
-                                     shard.report.corruption_detected)) {
-            annotate_root(obs::SpanAnnotationKind::kQuarantine,
-                          "device " + dev + " quarantined for corruption");
-          }
-        } else if (RecordDeviceClean(shard.device)) {
-          annotate_root(obs::SpanAnnotationKind::kUnquarantine,
-                        "device " + dev + " re-admitted from quarantine");
-        }
+        feed(Gate::kFaults, shard_run.device, shard_run.report.degraded);
+        feed(Gate::kCorruption, shard_run.device, detected > 0);
       }
     }
 
+    // The batch starts when every involved device is free and no earlier
+    // than its latest member's submit time; all involved device clocks
+    // advance to the shared completion time.
     double complete = 0.0;
-    if (!group_mode) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      sim_clock_ += report.makespan;
-      complete = sim_clock_;
-    } else {
-      // The batch starts when every involved device is free and no earlier
-      // than its latest member's submit time; all involved device clocks
-      // advance to the shared completion time.
+    {
       std::lock_guard<std::mutex> lock(mutex_);
       double start = 0.0;
       for (const JobPtr& job : batch) start = std::max(start, job->sim_submit);
-      for (int d : placement) {
+      for (int d : placement.devices) {
         start = std::max(start, device_states_[static_cast<std::size_t>(d)].clock);
       }
       complete = start + report.makespan;
-      for (int d : placement) {
+      for (int d : placement.devices) {
         device_states_[static_cast<std::size_t>(d)].clock = complete;
       }
       sim_clock_ = std::max(sim_clock_, complete);
     }
-    if (group_mode) {
-      for (int d : placement) {
-        const std::string& label =
-            options_.device_group->device(d).instance_label();
-        metrics().GetCounter("server.device.batches", {{"device", label}})
-            .Increment();
-        metrics().GetGauge("server.device.sim_seconds", {{"device", label}})
-            .Set(complete);
-      }
-      if (group_report.sharded) {
-        metrics().GetCounter("server.device.sharded_batches").Increment();
-      }
+    for (int d : placement.devices) {
+      metrics().GetCounter("server.device.batches", DeviceLabels(d)).Increment();
+      metrics().GetGauge("server.device.sim_seconds", DeviceLabels(d)).Set(complete);
+    }
+    if (group_report.sharded) {
+      metrics().GetCounter("server.device.sharded_batches").Increment();
     }
     metrics().GetCounter("server.batches").Increment();
     metrics().GetHistogram("server.batch_size")
@@ -873,33 +701,33 @@ void QueryScheduler::ExecuteBatch(std::vector<JobPtr> batch,
       attempt_span = 0;
     }
 
-    core::ExecutionReport shared = report;
-    shared.sink_results.clear();
+    // The sink tables leave the shared report: each query takes its own
+    // sinks (moved for a solo batch; merged queries may share a sink).
+    std::map<NodeId, Table> sink_results = std::move(report.sink_results);
+    report.sink_results.clear();
     for (std::size_t j = 0; j < batch.size(); ++j) {
       JobPtr& job = batch[j];
       QueryResult result;
-      result.report = shared;
+      result.report = report;
       result.batch_size = batch.size();
       result.merged = merged;
       result.plan_cache_hit = cache_hit;
       result.degraded = report.degraded;
       result.ran_on_host = report.ran_on_host;
       result.device_retries = device_retries;
-      if (group_mode) {
-        result.device = !group_report.shards.empty()
-                            ? group_report.shards.front().device
-                            : (placement.empty() ? 0 : placement.front());
-        result.devices_used = group_report.devices_used;
-        result.sharded = group_report.sharded;
-      }
+      result.device = !group_report.shards.empty()
+                          ? group_report.shards.front().device
+                          : placement.devices.front();
+      result.devices_used = group_report.devices_used;
+      result.sharded = group_report.sharded;
       result.sim_submit = job->sim_submit;
       result.sim_complete = complete;
       result.queue_wait_seconds = job->queue_wait;
       for (NodeId sink : job->request.graph.Sinks()) {
         const NodeId mapped = merged ? mappings[j].at(sink) : sink;
-        auto it = report.sink_results.find(mapped);
-        if (it != report.sink_results.end()) {
-          result.results.emplace(sink, it->second);
+        auto it = sink_results.find(mapped);
+        if (it != sink_results.end()) {
+          result.results.emplace(sink, merged ? it->second : std::move(it->second));
         } else if (job->request.graph.node(sink).is_source) {
           // A bare source "query" — in a merged graph another query's
           // operators may consume it, so it is no longer a merged sink.

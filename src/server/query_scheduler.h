@@ -11,13 +11,17 @@
 // controller arbitrates the simulated device's 6 GB memory across
 // concurrent batches.
 //
-// Device-time accounting: the simulated device is one shared resource, so
-// the scheduler keeps a virtual device clock — each executed batch advances
-// it by the batch's simulated makespan, and every query records its
-// simulated submit/complete times against that clock. Batching helps
-// because a merged batch's makespan is far less than the sum of its members'
-// solo makespans (shared scans amortize PCIe transfers); wall-clock
-// concurrency additionally overlaps the host-side functional execution.
+// One serving path for N >= 1 devices: a scheduler built on a single
+// DeviceSimulator serves it as a device group of one.
+//
+// Device-time accounting: each simulated device is a shared resource with
+// its own virtual clock. A batch starts once its devices are free and no
+// earlier than its latest member's submit, and moves their clocks to its
+// completion; every query records its simulated submit/complete times
+// against those clocks. Batching helps because a merged batch's makespan is
+// far less than the sum of its members' solo makespans (shared scans
+// amortize PCIe transfers); wall-clock concurrency additionally overlaps the
+// host-side functional execution.
 //
 // Determinism: with `worker_count = 1` and paused start (submit everything,
 // then Start()), batching, plan-cache hits, and all simulated times are
@@ -30,6 +34,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <future>
 #include <map>
@@ -63,8 +68,8 @@ struct QueryRequest {
   core::ExecutorOptions options;
   std::string merge_class;
 
-  // Group mode only: allow this query to be sharded across every healthy
-  // device of the group (when its graph is shardable — see
+  // Allow this query to be sharded across every healthy device of the
+  // group (when its graph is shardable — see
   // core::MultiDeviceExecutor::Shardable). Off, the query runs whole on the
   // least-loaded device. Part of batch compatibility.
   bool allow_sharding = false;
@@ -87,11 +92,11 @@ struct QueryResult {
   // Fault-recovery outcomes (see docs/resilience.md). Results are
   // byte-identical in every case; these report how the run got there.
   bool degraded = false;          // a cluster reran on the host engine
-  bool ran_on_host = false;       // circuit breaker routed the run host-side
+  bool ran_on_host = false;       // breaker host route or capacity fallback
   std::size_t device_retries = 0; // whole-query re-runs after kf::DeviceFault
 
-  // Where the run landed (group mode; single-device schedulers report
-  // device 0). For sharded runs `device` is the first shard's device.
+  // Where the run landed (group device index; a single-device scheduler
+  // reports device 0). For sharded runs `device` is the first shard's device.
   int device = 0;
   int devices_used = 1;
   bool sharded = false;
@@ -161,46 +166,38 @@ struct SchedulerOptions {
   // injected reservation fault) before the error reaches the futures.
   std::size_t query_retry_limit = 2;
 
-  // Circuit breaker: after `breaker_threshold` consecutive device faults the
-  // breaker opens and new batches run host-side (force_host); every
-  // `breaker_probe_interval`-th batch while open probes the device, and a
-  // successful probe closes the breaker. A threshold of 0 disables it.
+  // Circuit breaker (each device's `faults` DeviceHealth gate): after
+  // `breaker_threshold` consecutive degraded or DeviceFault batches on a
+  // device its breaker opens and new batches drain to its siblings, or run
+  // host-side (force_host) when none is left. A threshold of 0 disables it.
   std::size_t breaker_threshold = 4;
-  std::size_t breaker_probe_interval = 4;
 
   // Integrity verification applied to every execution whose request left
   // integrity fully off (per-query `ExecutorOptions::integrity` wins).
   core::IntegrityOptions integrity;
 
-  // Device quarantine (group mode): every batch with detected corruption on
-  // a device adds 1 to that device's corruption score, every clean batch
-  // halves it; at `quarantine_threshold` the device is quarantined — new
-  // batches drain to its siblings (or host when none are left) — and every
-  // `quarantine_probe_interval`-th batch while quarantined probes it, a
-  // clean probe re-admitting it. 0 disables quarantine. Mirrors the circuit
-  // breaker, but keyed on *corruption* (wrong bytes) instead of loud faults.
+  // Device quarantine (each device's `corruption` DeviceHealth gate): a batch
+  // with detected corruption adds 1 to its device's score, a clean one halves
+  // it; at `quarantine_threshold` (0 disables) new batches drain to the
+  // device's siblings, or the host when none are left. Armed only with two or
+  // more devices: a lone device has no sibling to drain to.
   std::size_t quarantine_threshold = 3;
-  std::size_t quarantine_probe_interval = 4;
+
+  // While a device's breaker or quarantine is open, every
+  // `probe_interval`-th placement pass sends it one probe batch; a clean
+  // probe closes that gate. 0 = never probe.
+  std::size_t probe_interval = 4;
 
   // Shutdown(): fail still-queued queries with kf::Cancelled instead of
   // draining them (in-flight batches always complete).
   bool cancel_pending_on_shutdown = false;
 
-  // --- Group mode (multi-device serving). --------------------------------
-  // When set, batches are placed on the group's least-loaded healthy device
-  // (per-device virtual clocks), queries opting in via `allow_sharding` are
-  // sharded across every healthy device, and each device gets its own
-  // circuit breaker / fault domain (`breaker_threshold` and
-  // `breaker_probe_interval` apply per device). The constructor-passed
-  // DeviceSimulator is ignored for execution; prefer the DeviceGroup
-  // constructor. The group must outlive the scheduler.
-  const sim::DeviceGroup* device_group = nullptr;
-
   // Per-device fault injectors, indexed by group device index (nullptr
-  // entries fall back to `fault_injector`). Group mode only.
+  // entries fall back to `fault_injector`; a single-device scheduler is
+  // device 0).
   std::vector<const sim::FaultInjector*> device_injectors;
 
-  // How sharded queries split rows across devices. Group mode only.
+  // How sharded queries split rows across devices.
   core::ShardSplit shard_split = core::ShardSplit::kStatic;
 
   // --- Adaptive calibration (core/calibration.h). ------------------------
@@ -212,7 +209,7 @@ struct SchedulerOptions {
   // outlive the scheduler; nullptr keeps serving fully static.
   core::CostModelCalibrator* calibration = nullptr;
 
-  // Group mode: per-device calibrators, indexed by group device index
+  // Per-device calibrators, indexed by group device index
   // (nullptr entries fall back to `calibration`). Each device learns its own
   // corrections — a degraded device's placement shifts without polluting its
   // healthy siblings' models.
@@ -221,11 +218,11 @@ struct SchedulerOptions {
 
 class QueryScheduler {
  public:
+  // Serves one device: a copy of `device` as a device group of one.
   explicit QueryScheduler(const sim::DeviceSimulator& device,
                           SchedulerOptions options = SchedulerOptions());
 
-  // Group-mode convenience: serve across `group` (equivalent to passing
-  // `group.device(0)` with `options.device_group = &group`).
+  // Serves across `group`, which must outlive the scheduler.
   explicit QueryScheduler(const sim::DeviceGroup& group,
                           SchedulerOptions options = SchedulerOptions());
 
@@ -254,22 +251,16 @@ class QueryScheduler {
   // also run by the destructor).
   void Shutdown();
 
-  // Simulated device time consumed so far (sum of executed batch makespans).
+  // Simulated time consumed so far: the latest completion on any device's
+  // virtual clock.
   double sim_clock() const;
 
   std::size_t queue_depth() const;
   const FusionPlanCache& plan_cache() const { return plan_cache_; }
 
-  // Circuit-breaker state (true: new batches are routed host-side).
-  bool breaker_open() const;
-
-  // Per-device breaker state (group mode; false for single-device use).
+  // Per-device health by group device index (false / 0 out of range).
   bool breaker_open(int device) const;
-
-  // Per-device quarantine state (group mode; false for single-device use).
   bool quarantined(int device) const;
-
-  // Per-device corruption score (group mode; 0 for single-device use).
   std::size_t corruption_score(int device) const;
 
  private:
@@ -286,6 +277,52 @@ class QueryScheduler {
   };
   using JobPtr = std::unique_ptr<Job>;
 
+  // One device-health gate. Bad batches raise its score and a clean batch
+  // relieves it (kReset: back to 0; kHalve: halved). At `threshold` the gate
+  // opens and placement drains the device, except that every
+  // `probe_interval`-th placement pass while open admits one probe batch; a
+  // clean batch while open closes the gate and zeroes the score. A threshold
+  // of 0 never opens; a probe interval of 0 never probes. Guarded by mutex_.
+  class DeviceHealth {
+   public:
+    enum class Relief : std::uint8_t { kReset, kHalve };
+    enum class Admission : std::uint8_t { kHealthy, kProbe, kDrain };
+
+    DeviceHealth(std::size_t threshold, std::size_t probe_interval, Relief relief)
+        : threshold_(threshold), probe_interval_(probe_interval), relief_(relief) {}
+
+    // One placement pass over the device (advances an open gate's cadence).
+    Admission Admit();
+
+    // Feed one batch outcome; each returns true when it flipped the gate.
+    bool RecordBad();
+    bool RecordClean();
+
+    bool open() const { return open_; }
+    std::size_t score() const { return score_; }
+
+   private:
+    std::size_t threshold_;
+    std::size_t probe_interval_;
+    Relief relief_;
+    std::size_t score_ = 0;
+    bool open_ = false;
+    std::size_t passes_ = 0;  // placement passes while open (probe cadence)
+  };
+
+  // The two DeviceHealth gates every device carries.
+  enum class Gate : std::uint8_t { kFaults, kCorruption };
+
+  // Where one execution attempt runs.
+  struct Placement {
+    std::vector<int> devices;  // shard order; the accounting device on host routes
+    bool host_route = false;   // no device admitted the batch: run host-side
+    double start = 0.0;        // predicted start on the virtual clocks
+  };
+
+  QueryScheduler(std::unique_ptr<const sim::DeviceGroup> owned_group,
+                 const sim::DeviceGroup* group, SchedulerOptions options);
+
   void WorkerLoop();
   // Assigns a tracer query id and opens the root + queue-wait spans for a
   // freshly admitted job (no-op when no tracer is configured).
@@ -301,30 +338,23 @@ class QueryScheduler {
   // shared sources by name).
   static std::uint64_t EstimateBytes(const std::vector<JobPtr>& batch);
 
-  // Circuit-breaker bookkeeping: every device-facing outcome feeds the
-  // consecutive-fault counter (global breaker; legacy single-device mode).
-  // Each returns true when the call transitioned the breaker/quarantine
-  // state, so the caller can annotate the triggering query's trace.
-  bool RecordDeviceFault();
-  bool RecordDeviceSuccess();
-  // Per-device breakers (group mode).
-  bool RecordDeviceFault(int device);
-  bool RecordDeviceSuccess(int device);
-  // Per-device corruption scores / quarantine (group mode). A batch with
-  // detected corruption on `device` feeds Corruption, a clean one Clean.
-  bool RecordDeviceCorruption(int device, std::size_t detected);
-  bool RecordDeviceClean(int device);
+  // Chooses the devices for one attempt of `batch`: every gate's probe
+  // cadence advances, then the least-loaded admitted device (every admitted
+  // device when `shard`), or a host route when none is admitted.
+  Placement Place(const std::vector<JobPtr>& batch, bool shard);
+  // Feeds one batch outcome on `device` into its `gate`; records the
+  // transition's metrics and returns true when the gate flipped.
+  bool RecordHealth(Gate gate, int device, bool bad);
 
   obs::MetricsRegistry& metrics() const {
     return options_.metrics != nullptr ? *options_.metrics
                                        : obs::MetricsRegistry::Default();
   }
 
-  const sim::DeviceSimulator& device_;
+  std::unique_ptr<const sim::DeviceGroup> owned_group_;  // single-device use
+  const sim::DeviceGroup& group_;
   SchedulerOptions options_;
-  core::QueryExecutor executor_;
-  // Group mode only (nullptr otherwise).
-  std::unique_ptr<core::MultiDeviceExecutor> group_executor_;
+  core::MultiDeviceExecutor executor_;
   FusionPlanCache plan_cache_;
 
   mutable std::mutex mutex_;
@@ -339,23 +369,13 @@ class QueryScheduler {
   std::uint64_t inflight_bytes_ = 0;   // admission-controller ledger
   double sim_clock_ = 0.0;
 
-  // Circuit breaker (guarded by mutex_).
-  std::size_t consecutive_faults_ = 0;
-  bool breaker_open_ = false;
-  std::size_t breaker_batches_ = 0;  // batches seen while open (probe cadence)
-
-  // Group mode: per-device virtual clock and circuit breaker (guarded by
-  // mutex_; sized to the group's device count).
+  // Per-device virtual clock and health gates (guarded by mutex_; one per
+  // group device).
   struct DeviceState {
-    double clock = 0.0;                  // simulated busy-until time
-    std::size_t consecutive_faults = 0;
-    bool breaker_open = false;
-    std::size_t breaker_batches = 0;     // batches seen while open
-    // Quarantine (corruption) state: score +1 per corrupt batch, halved per
-    // clean batch; quarantined at quarantine_threshold.
-    std::size_t corruption_score = 0;
-    bool quarantined = false;
-    std::size_t quarantine_batches = 0;  // batches seen while quarantined
+    double clock = 0.0;       // simulated busy-until time
+    DeviceHealth faults;      // degraded / DeviceFault batches (the breaker)
+    DeviceHealth corruption;  // batches with detected corruption (quarantine)
+    DeviceHealth& health(Gate g) { return g == Gate::kFaults ? faults : corruption; }
   };
   std::vector<DeviceState> device_states_;
 

@@ -26,6 +26,11 @@ DeviceGroup::DeviceGroup(std::vector<DeviceSpec> specs, PcieConfig pcie,
       .Set(static_cast<double>(devices_.size()));
 }
 
+DeviceGroup::DeviceGroup(const DeviceSimulator& device)
+    : pcie_(device.pcie().config()), metrics_(&device.metrics()) {
+  devices_.push_back(std::make_unique<DeviceSimulator>(device));
+}
+
 DeviceGroup DeviceGroup::Homogeneous(int device_count, DeviceSpec spec,
                                      PcieConfig pcie, RootComplexConfig root,
                                      obs::MetricsRegistry* metrics) {

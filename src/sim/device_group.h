@@ -45,6 +45,10 @@ class DeviceGroup {
                        RootComplexConfig root = RootComplexConfig{},
                        obs::MetricsRegistry* metrics = nullptr);
 
+  // A group of one serving a copy of `device`: same spec, PCIe link, metrics
+  // registry and instance label, so it runs exactly like the device alone.
+  explicit DeviceGroup(const DeviceSimulator& device);
+
   // N identical devices (the common homogeneous-fleet case).
   static DeviceGroup Homogeneous(int device_count,
                                  DeviceSpec spec = DeviceSpec::TeslaC2070(),

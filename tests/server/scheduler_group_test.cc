@@ -1,6 +1,7 @@
-// QueryScheduler group mode: least-loaded placement across a DeviceGroup,
-// sharded serving, per-device circuit breakers (a permanently broken device
-// drains to the healthy ones), and per-device virtual-clock accounting.
+// QueryScheduler across a DeviceGroup: least-loaded placement, sharded
+// serving, per-device circuit breakers (a permanently broken device drains
+// to the healthy ones), per-device virtual-clock accounting, and the
+// single-device scheduler as a group of one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,9 +10,12 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/random.h"
 #include "core/multi_device.h"
 #include "obs/metrics_registry.h"
+#include "obs/tracer.h"
+#include "relational/csv.h"
 #include "server/query_scheduler.h"
 #include "sim/device_group.h"
 #include "sim/fault_injector.h"
@@ -138,7 +142,7 @@ TEST(SchedulerGroupTest, BrokenDeviceDrainsToHealthySiblings) {
   options.metrics = &registry;
   options.device_injectors = {&faulty, nullptr};
   options.breaker_threshold = 1;
-  options.breaker_probe_interval = 0;  // never probe: dev0 stays quarantined
+  options.probe_interval = 0;  // never probe: dev0's breaker stays open
   QueryScheduler scheduler(group, options);
 
   std::vector<std::future<QueryResult>> futures;
@@ -185,7 +189,7 @@ TEST(SchedulerGroupTest, AllBreakersOpenRoutesHostSide) {
   options.metrics = &registry;
   options.device_injectors = {&faulty, &faulty};
   options.breaker_threshold = 1;
-  options.breaker_probe_interval = 0;
+  options.probe_interval = 0;
   QueryScheduler scheduler(group, options);
 
   std::vector<std::future<QueryResult>> futures;
@@ -208,6 +212,170 @@ TEST(SchedulerGroupTest, AllBreakersOpenRoutesHostSide) {
   EXPECT_TRUE(scheduler.breaker_open(0));
   EXPECT_TRUE(scheduler.breaker_open(1));
   EXPECT_TRUE(saw_host_run);
+}
+
+// What one run of the faulty workload below let a client and an operator
+// observe, for comparing two schedulers.
+struct WorkloadOutcome {
+  std::vector<std::string> answers;  // per query: sink CSVs, or the error code
+  std::vector<double> sim_submit;
+  std::vector<double> sim_complete;
+  double sim_clock = 0.0;
+  bool breaker_open = false;
+  bool quarantined = false;
+  std::map<std::string, double> resilience;  // every resilience.* counter
+  std::uint64_t device_breaker_probes = 0;
+  std::uint64_t corrupt_batches = 0;
+};
+
+// A seeded single-worker workload under a tracer. Alternating blocks of four
+// queries see loud faults (transient copy/kernel faults and reservation OOMs
+// that throw kf::DeviceFault) or silent H2D corruption caught by checksummed
+// transfers. Served by `target` (a device or a device group).
+template <typename Target>
+WorkloadOutcome RunFaultyWorkload(const Target& target) {
+  sim::FaultConfig loud_config;
+  loud_config.seed = 41;
+  loud_config.copy_fault_rate = 0.2;
+  loud_config.kernel_fault_rate = 0.2;
+  loud_config.oom_rate = 0.3;
+  const sim::FaultInjector loud(loud_config);
+  sim::FaultConfig silent_config;
+  silent_config.seed = 43;
+  silent_config.corrupt_h2d_rate = 0.3;
+  const sim::FaultInjector silent(silent_config);
+
+  obs::MetricsRegistry registry;
+  obs::Tracer tracer;
+  SchedulerOptions options;
+  options.worker_count = 1;
+  options.start_paused = true;
+  options.metrics = &registry;
+  options.tracer = &tracer;
+  options.fault_injector = &loud;
+  options.integrity.verify_transfers = true;
+  options.breaker_threshold = 2;
+  QueryScheduler scheduler(target, options);
+
+  std::vector<std::future<QueryResult>> futures;
+  for (int i = 0; i < 32; ++i) {
+    QueryRequest request =
+        MakeRequest(MakeChainQuery(300 + static_cast<std::uint64_t>(i), 400));
+    if ((i / 4) % 2 == 1) request.options.fault_injector = &silent;
+    futures.push_back(scheduler.Submit(std::move(request)));
+  }
+  scheduler.Start();
+
+  WorkloadOutcome outcome;
+  for (auto& future : futures) {
+    try {
+      const QueryResult result = future.get();
+      std::string csv;
+      for (const auto& [sink, table] : result.results) csv += relational::ToCsv(table);
+      outcome.answers.push_back(csv);
+      outcome.sim_submit.push_back(result.sim_submit);
+      outcome.sim_complete.push_back(result.sim_complete);
+    } catch (const Error& e) {
+      outcome.answers.push_back(std::string("error: ") + ToString(e.code()));
+    }
+  }
+  scheduler.Drain();
+  outcome.sim_clock = scheduler.sim_clock();
+  outcome.breaker_open = scheduler.breaker_open(0);
+  outcome.quarantined = scheduler.quarantined(0);
+  const obs::Json metrics = registry.ToJson();
+  for (const auto& [key, value] : metrics.at("counters").object()) {
+    if (key.rfind("resilience.", 0) == 0) outcome.resilience[key] = value.number();
+  }
+  outcome.device_breaker_probes =
+      registry.CounterValue("server.device.breaker_probes{device=dev0}");
+  outcome.corrupt_batches =
+      registry.CounterValue("server.device.corrupt_batches{device=dev0}");
+  return outcome;
+}
+
+TEST(SchedulerGroupTest, SingleDeviceServesExactlyAsAGroupOfOne) {
+  sim::DeviceSimulator device;
+  WorkloadOutcome solo = RunFaultyWorkload(device);
+  const sim::DeviceGroup group = sim::DeviceGroup::Homogeneous(1);
+  const WorkloadOutcome grouped = RunFaultyWorkload(group);
+
+  EXPECT_EQ(solo.answers, grouped.answers);
+  EXPECT_EQ(solo.sim_submit, grouped.sim_submit);
+  EXPECT_EQ(solo.sim_complete, grouped.sim_complete);
+  EXPECT_EQ(solo.sim_clock, grouped.sim_clock);
+  EXPECT_EQ(solo.breaker_open, grouped.breaker_open);
+  EXPECT_EQ(solo.quarantined, grouped.quarantined);
+  EXPECT_EQ(solo.resilience, grouped.resilience);
+  EXPECT_EQ(solo.corrupt_batches, grouped.corrupt_batches);
+  // The workload exercised what it claims: retries, a breaker, its probes —
+  // counted in the aggregate and per device alike — and corrupt batches that
+  // never quarantine the only device.
+  EXPECT_GT(solo.resilience["resilience.query_retries"], 0.0);
+  EXPECT_GT(solo.resilience["resilience.breaker_opened"], 0.0);
+  EXPECT_GT(solo.resilience["resilience.breaker_probes"], 0.0);
+  EXPECT_EQ(solo.resilience["resilience.breaker_probes"],
+            static_cast<double>(solo.device_breaker_probes));
+  EXPECT_GE(solo.corrupt_batches, 3u);  // the default quarantine threshold
+  EXPECT_FALSE(grouped.quarantined);
+}
+
+TEST(SchedulerGroupTest, BreakerAndQuarantineProbeCadencesAdvanceTogether) {
+  // Device 1 both fails every kernel (each batch degrades) and corrupts its
+  // transfers (caught by checksums), so its first batch opens its breaker
+  // and its quarantine at once. Every later placement pass advances both
+  // gates' probe cadences — also while the other gate drains the device —
+  // so both gates come due on the same passes and every probe is counted
+  // in the aggregate and per-device counters alike.
+  sim::FaultConfig config;
+  config.seed = 17;
+  config.kernel_fault_rate = 1.0;
+  config.corrupt_h2d_rate = 1.0;
+  const sim::FaultInjector broken(config);
+
+  sim::DeviceGroup group = sim::DeviceGroup::Homogeneous(2);
+  obs::MetricsRegistry registry;
+  SchedulerOptions options;
+  options.worker_count = 1;
+  options.start_paused = true;
+  options.metrics = &registry;
+  options.device_injectors = {nullptr, &broken};
+  options.integrity.verify_transfers = true;
+  options.breaker_threshold = 1;
+  options.quarantine_threshold = 1;
+  options.probe_interval = 2;
+  QueryScheduler scheduler(group, options);
+
+  // Batch 1 lands on dev0 (ties go to the first device), batch 2 on the
+  // then less-loaded dev1, which opens both gates; batches 3..10 make 8
+  // placement passes while they are open, 4 of them probe passes.
+  constexpr int kBatches = 10;
+  std::vector<std::future<QueryResult>> futures;
+  std::vector<core::RandomQuery> queries;
+  for (int i = 0; i < kBatches; ++i) {
+    queries.push_back(MakeChainQuery(600 + static_cast<std::uint64_t>(i), 300));
+    futures.push_back(scheduler.Submit(MakeRequest(queries.back())));
+  }
+  scheduler.Start();
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const QueryResult result = futures[i].get();
+    const std::map<NodeId, Table> truth = core::ReferenceResults(queries[i]);
+    for (NodeId sink : queries[i].graph.Sinks()) {
+      EXPECT_TRUE(core::ByteIdentical(result.results.at(sink), truth.at(sink)))
+          << "query " << i << " on device " << result.device;
+    }
+  }
+
+  EXPECT_TRUE(scheduler.breaker_open(1));
+  EXPECT_TRUE(scheduler.quarantined(1));
+  EXPECT_FALSE(scheduler.breaker_open(0));
+  EXPECT_FALSE(scheduler.quarantined(0));
+  const obs::Labels dev1 = {{"device", "dev1"}};
+  EXPECT_EQ(registry.GetCounter("server.device.breaker_probes", dev1).value(), 4u);
+  EXPECT_EQ(registry.GetCounter("server.device.quarantine_probes", dev1).value(), 4u);
+  EXPECT_EQ(registry.GetCounter("resilience.breaker_probes").value(), 4u);
+  EXPECT_EQ(registry.GetCounter("integrity.quarantine_probes").value(), 4u);
+  EXPECT_EQ(registry.CounterValue("server.device.breaker_probes{device=dev0}"), 0u);
 }
 
 }  // namespace

@@ -75,7 +75,7 @@ TEST(SchedulerQuarantineTest, CorruptingDeviceIsQuarantinedAndDrains) {
   options.integrity = FullVerification();
   options.breaker_threshold = 0;       // isolate the quarantine machinery
   options.quarantine_threshold = 1;
-  options.quarantine_probe_interval = 0;  // never probe: dev1 stays out
+  options.probe_interval = 0;  // never probe: dev1 stays out
   QueryScheduler scheduler(group, options);
 
   std::vector<std::future<QueryResult>> futures;
@@ -118,7 +118,7 @@ TEST(SchedulerQuarantineTest, CorruptingDeviceIsQuarantinedAndDrains) {
 }
 
 TEST(SchedulerQuarantineTest, ProbesKeepTestingAQuarantinedDevice) {
-  // With probing enabled, every quarantine_probe_interval-th batch tries the
+  // With probing enabled, every probe_interval-th batch tries the
   // quarantined device again. This corrupter never goes clean, so it stays
   // quarantined — but the probes are visible and results stay correct.
   sim::FaultConfig config;
@@ -136,7 +136,7 @@ TEST(SchedulerQuarantineTest, ProbesKeepTestingAQuarantinedDevice) {
   options.integrity = FullVerification();
   options.breaker_threshold = 0;
   options.quarantine_threshold = 1;
-  options.quarantine_probe_interval = 2;
+  options.probe_interval = 2;
   QueryScheduler scheduler(group, options);
 
   std::vector<std::future<QueryResult>> futures;
@@ -186,7 +186,7 @@ TEST(SchedulerQuarantineTest, CleanProbeReadmitsTheDevice) {
   options.integrity = FullVerification();
   options.breaker_threshold = 0;
   options.quarantine_threshold = 1;
-  options.quarantine_probe_interval = 1;  // probe on every batch
+  options.probe_interval = 1;  // probe on every batch
   QueryScheduler scheduler(group, options);
 
   bool was_quarantined = false;

@@ -1,17 +1,21 @@
 // Scheduler-level fault handling: typed failures through futures, whole-query
 // retry after device faults, the circuit breaker (open -> host routing ->
-// probe -> close), and cancel-on-shutdown semantics. Also exercised under
-// TSan via the server_test target.
+// probe -> close), the host fallback on exceeded device capacity, and
+// cancel-on-shutdown semantics. Also exercised under TSan via the
+// server_test target.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
 #include "common/error.h"
+#include "common/random.h"
 #include "core/select_chain.h"
 #include "relational/csv.h"
 #include "server/query_scheduler.h"
 #include "sim/fault_injector.h"
+#include "tests/core/byte_identical.h"
+#include "tests/core/random_graph.h"
 
 namespace kf::server {
 namespace {
@@ -76,7 +80,7 @@ TEST(SchedulerResilience, BreakerOpensRoutesHostAndStaysCorrect) {
   options.metrics = &registry;
   options.fault_injector = &injector;
   options.breaker_threshold = 2;
-  options.breaker_probe_interval = 3;
+  options.probe_interval = 3;
   QueryScheduler scheduler(device, options);
 
   // Two degraded device runs open the breaker.
@@ -87,7 +91,7 @@ TEST(SchedulerResilience, BreakerOpensRoutesHostAndStaysCorrect) {
     EXPECT_FALSE(result.ran_on_host);
     EXPECT_EQ(ResultsCsv(result), reference);
   }
-  EXPECT_TRUE(scheduler.breaker_open());
+  EXPECT_TRUE(scheduler.breaker_open(0));
   EXPECT_EQ(registry.GetCounter("resilience.breaker_opened").value(), 1u);
 
   // While open, batches run host-side (except the periodic probe).
@@ -105,7 +109,7 @@ TEST(SchedulerResilience, BreakerOpensRoutesHostAndStaysCorrect) {
   EXPECT_TRUE(second.ran_on_host);
   EXPECT_TRUE(probe.degraded);  // the probe ran on the device and degraded
   EXPECT_EQ(ResultsCsv(probe), reference);
-  EXPECT_TRUE(scheduler.breaker_open());
+  EXPECT_TRUE(scheduler.breaker_open(0));
   EXPECT_GE(registry.GetCounter("resilience.breaker_probes").value(), 1u);
 }
 
@@ -125,7 +129,7 @@ TEST(SchedulerResilience, BreakerClosesAfterSuccessfulProbe) {
   options.worker_count = 1;
   options.metrics = &registry;
   options.breaker_threshold = 2;
-  options.breaker_probe_interval = 2;
+  options.probe_interval = 2;
   QueryScheduler scheduler(device, options);
 
   // The device "fails" only for requests that carry the faulty injector.
@@ -135,7 +139,7 @@ TEST(SchedulerResilience, BreakerClosesAfterSuccessfulProbe) {
     QueryResult result = scheduler.Submit(std::move(request)).get();
     EXPECT_TRUE(result.degraded);
   }
-  EXPECT_TRUE(scheduler.breaker_open());
+  EXPECT_TRUE(scheduler.breaker_open(0));
 
   // Device is healthy again (no injector on these requests): the first batch
   // is rerouted, the second is the probe — it succeeds and closes the breaker.
@@ -144,7 +148,7 @@ TEST(SchedulerResilience, BreakerClosesAfterSuccessfulProbe) {
   QueryResult probe = scheduler.Submit(ChainRequest(chain, input, &registry)).get();
   EXPECT_FALSE(probe.ran_on_host);
   EXPECT_FALSE(probe.degraded);
-  EXPECT_FALSE(scheduler.breaker_open());
+  EXPECT_FALSE(scheduler.breaker_open(0));
   EXPECT_EQ(registry.GetCounter("resilience.breaker_closed").value(), 1u);
 
   // Back to normal device execution.
@@ -210,6 +214,45 @@ TEST(SchedulerResilience, QueryRetryRecoversFromTransientReservationFault) {
   // what matters is the query completed and any retries were counted.
   EXPECT_EQ(registry.GetCounter("resilience.query_retries").value(),
             result.device_retries);
+}
+
+TEST(SchedulerResilience, CapacityExceededFallsBackToHost) {
+  // A join whose build table is larger than the whole device: no amount of
+  // segmentation fits it, so the run degrades to the host engine instead of
+  // failing — for a single-device scheduler exactly as for a group.
+  kf::Rng rng(23);
+  core::RandomQuery q;
+  const Table fact = core::RandomKV(rng, 2000);
+  const Table dim = core::RandomKV(rng, 8192);  // 128 KiB of int64 pairs
+  const NodeId fact_src = q.graph.AddSource("fact", fact.schema(), fact.row_count());
+  const NodeId dim_src = q.graph.AddSource("dim", dim.schema(), dim.row_count());
+  q.sources.emplace(fact_src, fact);
+  q.sources.emplace(dim_src, dim);
+  q.graph.AddOperator(relational::OperatorDesc::Join(0, 0), fact_src, dim_src);
+
+  sim::DeviceSpec tiny = sim::DeviceSpec::TinyTestDevice();
+  tiny.mem_capacity_bytes = 64 * 1024;
+  sim::DeviceSimulator device(tiny);
+  obs::MetricsRegistry registry;
+  SchedulerOptions options;
+  options.worker_count = 1;
+  options.metrics = &registry;
+  QueryScheduler scheduler(device, options);
+
+  QueryRequest request;
+  request.graph = q.graph;
+  request.sources = q.sources;
+  const QueryResult result = scheduler.Submit(std::move(request)).get();
+  EXPECT_TRUE(result.ran_on_host);
+  EXPECT_EQ(result.report.leaked_device_bytes, 0u);
+  EXPECT_EQ(registry.GetCounter("sim.group.host_fallbacks").value(), 1u);
+  const std::map<NodeId, Table> truth = core::ReferenceResults(q);
+  for (NodeId sink : q.graph.Sinks()) {
+    EXPECT_TRUE(core::ByteIdentical(result.results.at(sink), truth.at(sink)));
+  }
+  // A capacity fallback is no device fault: the breaker is not fed.
+  EXPECT_FALSE(scheduler.breaker_open(0));
+  EXPECT_EQ(registry.GetCounter("resilience.breaker_rerouted").value(), 0u);
 }
 
 TEST(SchedulerResilience, ShutdownCancelsPendingQueriesTyped) {
